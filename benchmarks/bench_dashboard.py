@@ -126,7 +126,7 @@ def bench_watched_campaign_equivalence(state_dir):
     control = CampaignExecutor(handle_sigterm=False).execute(_grid())
 
     service = LineSearchService(
-        ServiceConfig(state_dir=state_dir, parity_check=False)
+        ServiceConfig(state_dir=state_dir)
     ).start()
     try:
         client = ServiceClient(service.address, client_id="bench")

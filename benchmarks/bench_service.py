@@ -52,7 +52,7 @@ PAYLOAD = {
 
 def _service(state_dir):
     service = LineSearchService(
-        ServiceConfig(state_dir=state_dir, parity_check=False)
+        ServiceConfig(state_dir=state_dir)
     ).start()
     client = ServiceClient(service.address, client_id="bench")
     client.wait_ready(timeout=10.0)
@@ -108,7 +108,7 @@ def bench_restart_recovery(state_dir):
 
     start = time.perf_counter()
     revived = LineSearchService(
-        ServiceConfig(state_dir=state_dir, parity_check=False)
+        ServiceConfig(state_dir=state_dir)
     ).start()
     try:
         client = ServiceClient(revived.address, client_id="bench")

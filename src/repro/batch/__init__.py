@@ -17,7 +17,10 @@ answers it for whole grids at once:
 * :mod:`repro.batch.parity` replays seeded grids through both the
   kernels and :class:`~repro.simulation.engine.SearchSimulation` and
   asserts agreement — the engine stays the oracle, batch is the fast
-  path (opt-in via ``method="batch"`` in the sweeps and campaigns).
+  path (opt-in via ``method="batch"`` in
+  :func:`~repro.simulation.sweep.target_sweep` and
+  :class:`~repro.simulation.adversary.CompetitiveRatioEstimator`;
+  campaign scenarios always run on the engines).
 
 Quickstart::
 

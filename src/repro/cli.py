@@ -291,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument("--seed", type=int, default=0,
                          help="master seed for the campaign")
-    p_chaos.add_argument("--method", choices=("event", "batch"),
-                         default="event",
-                         help="scenario evaluation path; 'batch' uses "
-                              "the analytic kernels where the fault "
-                              "model allows (implies the invariant "
-                              "audit stays on the engine)")
     p_chaos.add_argument("--protocol", choices=("none", "confirmation"),
                          default="none",
                          help="termination protocol; 'confirmation' "
@@ -309,14 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "scheduler spec like "
                               "'event:adversarial:1.0' routing every "
                               "scenario through the discrete-event "
-                              "engine (incompatible with "
-                              "--method batch)")
+                              "engine")
     p_chaos.add_argument("--variant", type=str, default="line",
                          choices=("line", "halfline", "evacuation"),
                          help="problem variant the grid is swept over "
-                              "(default: line; variant scenarios never "
-                              "take the batch fast path, so "
-                              "--method batch is refused)")
+                              "(default: line)")
     p_chaos.add_argument("--no-invariants", action="store_true",
                          help="skip the runtime invariant audit")
     p_chaos.add_argument("--max-failures", type=int, default=10,
@@ -467,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", type=int, default=1,
                          help="executor worker processes per campaign "
                               "(default: 1, in-process)")
-    p_serve.add_argument("--method", choices=("event", "batch"),
-                         default="event",
-                         help="evaluation path for submissions that "
-                              "don't choose (default: event)")
-    p_serve.add_argument("--no-parity-check", action="store_true",
-                         help="skip the startup engine-parity harness")
     p_serve.add_argument("--telemetry-dir", type=str, default=None,
                          metavar="DIR",
                          help="on drain, write trace.jsonl, "
@@ -1028,23 +1013,12 @@ def _cmd_chaos(args: argparse.Namespace):
         raise LineSearchError("--resume requires --journal PATH")
     if args.retries < 0:
         raise LineSearchError("--retries must be >= 0")
-    if args.mode != "sync" and args.method == "batch":
-        raise LineSearchError(
-            "--method batch cannot run scheduled-time scenarios; "
-            "drop --mode or use --method event"
-        )
-    if args.variant != "line" and args.method == "batch":
-        raise LineSearchError(
-            "--method batch cannot run problem-variant scenarios; "
-            "drop --variant or use --method event"
-        )
     pairs = _parse_pairs(args.pairs)
     scenarios = chaos_scenarios(
         pairs,
         args.targets,
         faults=tuple(args.faults) if args.faults else FAULT_KINDS,
         seed=args.seed,
-        method=args.method,
         protocol=args.protocol,
         mode=args.mode,
         variant=args.variant,
@@ -1189,8 +1163,6 @@ def _cmd_serve(args: argparse.Namespace):
         max_deadline=args.max_deadline,
         scenario_timeout=args.timeout,
         executor_jobs=args.jobs,
-        default_method=args.method,
-        parity_check=not args.no_parity_check,
     )
     telemetry = previous = None
     if args.telemetry_dir:

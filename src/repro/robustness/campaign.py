@@ -82,6 +82,7 @@ from repro.simulation.engine import SearchSimulation
 
 __all__ = [
     "FAULT_KINDS",
+    "MAX_SCHEDULED_TARGET",
     "PROTOCOLS",
     "VARIANTS",
     "CampaignReport",
@@ -108,6 +109,13 @@ FAULT_KINDS = (
 
 #: Termination protocols understood by :class:`ScenarioSpec`.
 PROTOCOLS = ("none", "confirmation")
+
+#: Largest ``|target|`` a scheduled-time (``mode != "sync"``) spec may
+#: name.  The discrete-event engine's cost grows with the activations
+#: needed to reach the target -- for A(3,1), ``event:adversarial`` takes
+#: about 2 s at ``|x| = 1e4`` and 13 s at ``3e4`` -- so larger targets
+#: are refused before they tie up a worker.
+MAX_SCHEDULED_TARGET = 1e4
 
 #: Problem variants understood by :class:`ScenarioSpec`.  Mirrors
 #: :data:`repro.variants.base.VARIANT_NAMES` (pinned by tests; kept as a
@@ -213,18 +221,11 @@ class Scenario:
     returns the fleet and fault model to simulate.  Custom scenarios may
     pair any spec with any factory — the spec is documentation and
     replay metadata, the factory is the truth.
-
-    ``method="batch"`` opts the scenario into the analytic fast path of
-    :mod:`repro.batch` where its semantics are expressible there — the
-    pure crash-detection fault models, with invariant auditing off.
-    Everything else (behavioral faults, audited runs) silently uses the
-    event engine, which remains the oracle.
     """
 
     spec: ScenarioSpec
     build: Callable[[], Tuple[Fleet, FaultModel]]
     stochastic: bool = False
-    method: str = "event"
 
 
 @dataclass(frozen=True)
@@ -456,7 +457,8 @@ def _fault_model_for(spec: ScenarioSpec) -> Tuple[FaultModel, bool]:
             True,
         )
     raise InvalidParameterError(
-        f"unknown fault spec {spec.fault!r}; kinds: {', '.join(FAULT_KINDS)}"
+        f"unknown fault kind {kind!r} in spec {spec.fault!r}; "
+        f"kinds: {', '.join(FAULT_KINDS)}"
     )
 
 
@@ -494,8 +496,16 @@ class _SpecRealizer:
         return _line_realize(self.spec), model
 
 
-def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
-    """Realize a declarative spec into an executable scenario.
+def build_scenario(spec: ScenarioSpec) -> Scenario:
+    """Validate a declarative spec and realize it into an executable scenario.
+
+    Every check a spec can fail without running is made here, so a bad
+    spec is refused before it is queued, journaled, or shipped to a
+    worker: the fleet shape ``0 <= f < n``, a finite nonzero target, the
+    fault spec, the protocol, variant, and mode names, the ``n >= 2f + 1``
+    majority that the confirmation protocol and evacuation need, and
+    :data:`MAX_SCHEDULED_TARGET` for scheduled-time specs.  The CLI and
+    the service both validate specs through this function.
 
     The returned scenario's factory is picklable, so it can be
     dispatched to the parallel executor's worker processes as-is.
@@ -505,15 +515,29 @@ def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
         >>> fleet, model = scenario.build()
         >>> fleet.size
         3
+        >>> build_scenario(ScenarioSpec(2, 3, 2.0))
+        Traceback (most recent call last):
+          ...
+        repro.errors.InvalidParameterError: spec requires 1 <= f+1 <= n, got n=2 f=3
     """
-    if method not in ("event", "batch"):
+    if not 0 <= spec.f < spec.n:
         raise InvalidParameterError(
-            f"method must be 'event' or 'batch', got {method!r}"
+            f"spec requires 1 <= f+1 <= n, got n={spec.n} f={spec.f}"
+        )
+    if not math.isfinite(spec.target) or spec.target == 0:
+        raise InvalidParameterError(
+            f"target must be finite and nonzero, got {spec.target!r}"
         )
     if spec.protocol not in PROTOCOLS:
         raise InvalidParameterError(
             f"unknown protocol {spec.protocol!r}; "
             f"protocols: {', '.join(PROTOCOLS)}"
+        )
+    if spec.protocol == "confirmation" and spec.n < 2 * spec.f + 1:
+        raise InvalidParameterError(
+            f"the confirmation protocol needs n >= 2f + 1 = "
+            f"{2 * spec.f + 1} robots to tolerate {spec.f} liars, "
+            f"got n = {spec.n}"
         )
     if spec.variant not in VARIANTS:
         raise InvalidParameterError(
@@ -521,23 +545,37 @@ def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
             f"variants: {', '.join(VARIANTS)}"
         )
     if spec.variant != "line":
-        # Eagerly reject infeasible variant specs (e.g. evacuation
-        # without a reliable majority) at build time.
         from repro.variants import variant_for
 
         variant_for(spec.variant).validate_spec(spec)
     if spec.mode != "sync":
-        # Eagerly parse so a bad mode fails at build time, not inside a
-        # worker process mid-campaign.
+        if abs(spec.target) > MAX_SCHEDULED_TARGET:
+            raise InvalidParameterError(
+                f"scheduled-time specs (mode != 'sync') admit "
+                f"|target| <= {MAX_SCHEDULED_TARGET:g}, got {spec.target:g}"
+            )
         from repro.async_sched.schedulers import scheduler_from_spec
 
-        scheduler_from_spec(spec.mode)
-    _, stochastic = _fault_model_for(spec)
+        try:
+            scheduler_from_spec(spec.mode)
+        except InvalidParameterError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"invalid scheduler mode {spec.mode!r}: {exc}"
+            ) from None
+    try:
+        _, stochastic = _fault_model_for(spec)
+    except InvalidParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"invalid fault spec {spec.fault!r}: {exc}"
+        ) from None
     return Scenario(
         spec=spec,
         build=_SpecRealizer(spec),
         stochastic=stochastic,
-        method=method,
     )
 
 
@@ -546,7 +584,6 @@ def chaos_scenarios(
     targets: Sequence[float],
     faults: Sequence[str] = FAULT_KINDS,
     seed: int = 0,
-    method: str = "event",
     protocol: str = "none",
     mode: str = "sync",
     variant: str = "line",
@@ -557,20 +594,15 @@ def chaos_scenarios(
     campaign is reproducible from ``seed`` alone and every entry is
     replayable from its own recorded seed.
 
-    ``method="batch"`` marks every generated scenario for the analytic
-    fast path; scenarios whose fault model the batch subsystem cannot
-    express (behavioral faults) still run through the engine.
     ``protocol="confirmation"`` runs every scenario under the Byzantine
-    voting layer — confirmation scenarios always use the event-level
-    protocol simulation, since the batch kernels have no claim/vote
-    semantics.  A non-default ``mode`` (an activation-scheduler spec,
+    voting layer.  A non-default ``mode`` (an activation-scheduler spec,
     e.g. ``"event:adversarial:1.0"``) runs every scenario through the
     discrete-event engine; the per-scenario seed also seeds the
     scheduler, so the whole campaign stays replayable from its spec.
     A non-default ``variant`` sweeps the grid over that problem variant
-    instead (e.g. ``variant="halfline"``); variant scenarios always
-    execute through their variant's own dispatch, never the batch fast
-    path.
+    instead (e.g. ``variant="halfline"``).  Every spec is validated by
+    :func:`build_scenario`, so an invalid grid raises before any scenario
+    runs.
 
     Examples:
         >>> grid = chaos_scenarios([(3, 1)], [1.0, -2.0], ["none", "random"])
@@ -592,7 +624,7 @@ def chaos_scenarios(
                     mode=mode,
                     variant=variant,
                 )
-                scenarios.append(build_scenario(spec, method=method))
+                scenarios.append(build_scenario(spec))
     return scenarios
 
 
@@ -600,72 +632,20 @@ def chaos_scenarios(
 # execution
 # ----------------------------------------------------------------------
 
-def _batch_outcome(fleet: Fleet, model: FaultModel, target: float):
-    """Run one scenario through the batch kernels, or ``None`` when its
-    fault model is not expressible there.
-
-    Only the pure crash-detection models qualify (exact types — a
-    subclass may override semantics): the adversarial worst case maps to
-    ``T_{f+1}``, and fixed/random subsets map to a column min over the
-    reliable robots.  Behavioral models (crash-stop, Byzantine,
-    probabilistic) shape trajectories or detection draws in ways the
-    first-visit matrix does not capture, so they stay on the engine.
-    """
-    import math as _math
-
-    from repro.batch import BatchEvaluator
-    from repro.core.tolerance import times_close
-    from repro.simulation.metrics import SearchOutcome
-
-    if type(model) is AdversarialFaults:
-        evaluator = BatchEvaluator(fleet, fault_budget=model.fault_budget)
-        detection_time = evaluator.search_times([target])[0]
-        faulty = frozenset(model.assign(fleet, target))
-    elif type(model) in (FixedFaults, RandomFaults):
-        faulty = frozenset(model.assign(fleet, target))
-        evaluator = BatchEvaluator(fleet, fault_budget=model.fault_budget)
-        detection_time = evaluator.detection_times([target], faulty)[0]
-    else:
-        return None
-    detecting = None
-    if _math.isfinite(detection_time):
-        for robot in fleet:
-            if robot.index in faulty:
-                continue
-            t = robot.trajectory.first_visit_time(target)
-            if t is not None and times_close(t, detection_time):
-                detecting = robot.index
-                break
-    return SearchOutcome(
-        target=target,
-        detection_time=detection_time,
-        detecting_robot=detecting,
-        faulty_robots=faulty,
-        events=(),
-    )
-
-
 def _dispatch_engines(
     scenario: Scenario,
     fleet: Fleet,
     model: FaultModel,
     check_invariants: bool,
-    allow_batch: bool = True,
 ):
     """Route one realized scenario to the right execution engine.
 
     Shared by the line path of :func:`_run_once` and by variants whose
     termination predicate matches the base problem (the half-line
-    variant reuses it verbatim, with ``allow_batch=False`` since the
-    batch kernels assume whole-line fleets).
+    variant reuses it verbatim).
     """
     mode = getattr(scenario.spec, "mode", "sync")
     if getattr(scenario.spec, "protocol", "none") == "confirmation":
-        # The confirmation protocol is inherently event-level (claims,
-        # votes, diversions): ``method="batch"`` scenarios fall back to
-        # the protocol simulation here, and the *service* rejects the
-        # combination up front so API clients are never silently
-        # downgraded.
         from repro.byzantine.simulate import ByzantineSearchSimulation
 
         timelines = None
@@ -687,8 +667,6 @@ def _dispatch_engines(
             timelines=timelines,
         ).run()
     if mode != "sync":
-        # Scheduled-time scenarios always render through the discrete-
-        # event engine — the batch kernels have no notion of wall time.
         from repro.async_sched.engine import EventEngine
         from repro.async_sched.schedulers import scheduler_from_spec
 
@@ -700,16 +678,6 @@ def _dispatch_engines(
             seed=scenario.spec.seed or 0,
             check_invariants=check_invariants,
         ).run(with_events=check_invariants)
-    # The batch fast path produces no event log, so the invariant audit
-    # (which needs one) forces the engine; the engine is the oracle.
-    if (
-        allow_batch
-        and getattr(scenario, "method", "event") == "batch"
-        and not check_invariants
-    ):
-        outcome = _batch_outcome(fleet, model, scenario.spec.target)
-        if outcome is not None:
-            return outcome
     simulation = SearchSimulation(
         fleet,
         scenario.spec.target,
@@ -728,9 +696,7 @@ def _run_once(scenario: Scenario, check_invariants: bool):
             scenario, check_invariants=check_invariants
         )
     fleet, model = scenario.build()
-    return _dispatch_engines(
-        scenario, fleet, model, check_invariants, allow_batch=True
-    )
+    return _dispatch_engines(scenario, fleet, model, check_invariants)
 
 
 def error_class_of(exc: BaseException) -> str:

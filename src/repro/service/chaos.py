@@ -192,10 +192,7 @@ def _reference_report(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The uninterrupted campaign report, computed in-process through
     the same protocol parse and executor the server uses."""
     submission = parse_submission(payload)
-    scenarios = [
-        build_scenario(spec, method=submission.method)
-        for spec in submission.specs
-    ]
+    scenarios = [build_scenario(spec) for spec in submission.specs]
     executor = CampaignExecutor(handle_sigterm=False)
     report = executor.execute(
         scenarios, check_invariants=submission.check_invariants

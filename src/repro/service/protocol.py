@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError, LineSearchError
-from repro.robustness.campaign import (
-    FAULT_KINDS,
-    PROTOCOLS,
-    VARIANTS,
-    ScenarioSpec,
-)
+from repro.robustness.campaign import FAULT_KINDS, ScenarioSpec, build_scenario
 
 __all__ = [
     "ERROR_CODES",
@@ -157,7 +152,6 @@ class Submission:
     """
 
     specs: Tuple[ScenarioSpec, ...]
-    method: str = "event"
     check_invariants: bool = True
     client: str = "anonymous"
     deadline: Optional[float] = None
@@ -167,7 +161,6 @@ class Submission:
         """JSON-ready representation; inverse of :meth:`from_dict`."""
         return {
             "specs": [spec.to_dict() for spec in self.specs],
-            "method": self.method,
             "check_invariants": self.check_invariants,
             "client": self.client,
             "deadline": self.deadline,
@@ -176,12 +169,17 @@ class Submission:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Submission":
-        """Rebuild a submission from :meth:`to_dict` output."""
+        """Rebuild a submission from :meth:`to_dict` output.
+
+        Manifests written while submissions carried a ``method`` field
+        still load: the key is ignored, and ``check_invariants`` was
+        always stored explicitly, so such jobs replay with their
+        original audit setting.
+        """
         return cls(
             specs=tuple(
                 ScenarioSpec.from_dict(entry) for entry in data["specs"]
             ),
-            method=str(data.get("method", "event")),
             check_invariants=bool(data.get("check_invariants", True)),
             client=str(data.get("client", "anonymous")),
             deadline=(
@@ -196,12 +194,27 @@ def _bad(message: str) -> ServiceError:
     return ServiceError("bad_request", message)
 
 
+#: Fields a scenario spec object may carry.
+_SPEC_FIELDS = frozenset(
+    ("n", "f", "target", "fault", "seed", "protocol", "mode", "variant")
+)
+
+#: Top-level fields a submit body may carry.
+_SUBMISSION_FIELDS = frozenset(
+    (
+        "spec", "specs", "pairs", "targets", "faults", "seed", "protocol",
+        "mode", "variant", "check_invariants", "client", "deadline",
+    )
+)
+
+
 def _parse_spec(entry: Any) -> ScenarioSpec:
+    """Coerce one JSON spec object and validate it with
+    :func:`~repro.robustness.campaign.build_scenario`, the same check
+    the CLI applies."""
     if not isinstance(entry, dict):
         raise _bad(f"each spec must be an object, got {type(entry).__name__}")
-    unknown = set(entry) - {
-        "n", "f", "target", "fault", "seed", "protocol", "mode", "variant"
-    }
+    unknown = set(entry) - _SPEC_FIELDS
     if unknown:
         raise _bad(f"unknown spec field(s): {', '.join(sorted(unknown))}")
     try:
@@ -219,43 +232,10 @@ def _parse_spec(entry: Any) -> ScenarioSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise _bad(f"invalid scenario spec: {exc}") from None
-    if spec.n < 1 or spec.f < 0 or spec.f >= spec.n:
-        raise _bad(
-            f"spec requires 1 <= f+1 <= n, got n={spec.n} f={spec.f}"
-        )
-    kind = spec.fault.partition(":")[0]
-    if kind not in FAULT_KINDS:
-        raise _bad(
-            f"unknown fault kind {kind!r}; kinds: {', '.join(FAULT_KINDS)}"
-        )
-    if spec.protocol not in PROTOCOLS:
-        raise _bad(
-            f"unknown protocol {spec.protocol!r}; "
-            f"protocols: {', '.join(PROTOCOLS)}"
-        )
-    if spec.protocol == "confirmation" and spec.n < 2 * spec.f + 1:
-        raise _bad(
-            f"the confirmation protocol needs n >= 2f + 1 = "
-            f"{2 * spec.f + 1} robots to tolerate {spec.f} liars, "
-            f"got n = {spec.n}"
-        )
-    if spec.variant not in VARIANTS:
-        raise _bad(
-            f"unknown variant {spec.variant!r}; "
-            f"variants: {', '.join(VARIANTS)}"
-        )
-    if spec.variant == "evacuation" and spec.n < 2 * spec.f + 1:
-        raise _bad(
-            f"the evacuation variant needs a reliable majority "
-            f"(n >= 2f + 1 = {2 * spec.f + 1}), got n = {spec.n}"
-        )
-    if spec.mode != "sync":
-        from repro.async_sched.schedulers import scheduler_from_spec
-
-        try:
-            scheduler_from_spec(spec.mode)
-        except (InvalidParameterError, TypeError, ValueError) as exc:
-            raise _bad(f"invalid scheduler mode {spec.mode!r}: {exc}") from None
+    try:
+        build_scenario(spec)
+    except InvalidParameterError as exc:
+        raise _bad(str(exc)) from None
     return spec
 
 
@@ -291,27 +271,27 @@ def _grid_specs(payload: Dict[str, Any]) -> List[ScenarioSpec]:
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise _bad(f"each pair must be [n, f], got {pair!r}")
-        n, f = int(pair[0]), int(pair[1])
         for target in targets:
             for fault in faults:
                 specs.append(
-                    ScenarioSpec(
-                        n=n,
-                        f=f,
-                        target=float(target),
-                        fault=str(fault),
-                        seed=master.randrange(2**32),
-                        protocol=protocol,
-                        mode=mode,
-                        variant=variant,
+                    _parse_spec(
+                        {
+                            "n": pair[0],
+                            "f": pair[1],
+                            "target": target,
+                            "fault": fault,
+                            "seed": master.randrange(2**32),
+                            "protocol": protocol,
+                            "mode": mode,
+                            "variant": variant,
+                        }
                     )
                 )
-    return [_parse_spec(spec.to_dict()) for spec in specs]
+    return specs
 
 
 def parse_submission(
     payload: Any,
-    default_method: str = "event",
     default_deadline: Optional[float] = None,
     max_deadline: Optional[float] = None,
     max_scenarios: Optional[int] = None,
@@ -327,21 +307,26 @@ def parse_submission(
       seeding as ``chaos_scenarios`` so the served grid equals the CLI
       grid.
 
-    Common optional fields: ``method`` (``"event"`` or ``"batch"``),
-    ``check_invariants``, ``client``, ``deadline`` (seconds).  Specs may
-    carry ``protocol`` (``"none"`` or ``"confirmation"`` — the Byzantine
-    voting layer) and ``mode`` (``"sync"`` or an activation-scheduler
-    spec like ``"event:adversarial:1.0"`` — the scheduled-time engine)
-    and ``variant`` (``"line"``, ``"halfline"``, or ``"evacuation"`` —
-    the problem variant, see :mod:`repro.variants`); grid submissions
-    set each once at the top level.  Confirmation, scheduled-time, and
-    problem-variant scenarios are event-only: combining any of them
-    with ``method="batch"`` is refused with ``bad_request``.
+    Common optional fields: ``check_invariants`` (default ``True``),
+    ``client``, ``deadline`` (seconds).  Specs may carry ``protocol``
+    (``"none"`` or ``"confirmation"`` — the Byzantine voting layer) and
+    ``mode`` (``"sync"`` or an activation-scheduler spec like
+    ``"event:adversarial:1.0"`` — the scheduled-time engine) and
+    ``variant`` (``"line"``, ``"halfline"``, or ``"evacuation"`` — the
+    problem variant, see :mod:`repro.variants`); grid submissions set
+    each once at the top level.  Any other top-level field is refused
+    with ``bad_request``, and every spec is validated by
+    :func:`~repro.robustness.campaign.build_scenario`.
 
     Examples:
         >>> sub = parse_submission({"spec": {"n": 3, "f": 1, "target": 2.0}})
-        >>> (len(sub.specs), sub.method)
-        (1, 'event')
+        >>> (len(sub.specs), sub.check_invariants)
+        (1, True)
+        >>> parse_submission({"spec": {"n": 3, "f": 1, "target": 2.0},
+        ...                   "method": "batch"})
+        Traceback (most recent call last):
+          ...
+        repro.service.protocol.ServiceError: unknown submission field(s): method
         >>> parse_submission({"specs": []})
         Traceback (most recent call last):
           ...
@@ -349,6 +334,11 @@ def parse_submission(
     """
     if not isinstance(payload, dict):
         raise _bad("the request body must be a JSON object")
+    unknown = set(payload) - _SUBMISSION_FIELDS
+    if unknown:
+        raise _bad(
+            f"unknown submission field(s): {', '.join(sorted(unknown))}"
+        )
     shapes = [k for k in ("spec", "specs", "pairs") if k in payload]
     if len(shapes) != 1:
         raise _bad(
@@ -372,41 +362,7 @@ def parse_submission(
             f"accepts at most {max_scenarios} per job"
         )
 
-    method = str(payload.get("method", default_method))
-    if method not in ("event", "batch"):
-        raise _bad(f"method must be 'event' or 'batch', got {method!r}")
-    # The confirmation protocol is claim/vote/diversion event
-    # machinery; the batch kernels cannot express it, and the server
-    # refuses rather than silently downgrading the client's choice.
-    if method == "batch" and any(
-        spec.protocol == "confirmation" for spec in specs
-    ):
-        raise _bad(
-            "method 'batch' cannot run confirmation-protocol scenarios; "
-            "use method 'event' for protocol='confirmation'"
-        )
-    # Likewise the batch kernels have no notion of activation schedules
-    # or wall time, so scheduled-time scenarios are event-only.
-    if method == "batch" and any(spec.mode != "sync" for spec in specs):
-        raise _bad(
-            "method 'batch' cannot run scheduled-time scenarios; "
-            "use method 'event' for mode != 'sync'"
-        )
-    # Variant scenarios execute through their variant's own dispatch,
-    # which never takes the batch fast path; refuse rather than
-    # silently downgrade.
-    if method == "batch" and any(spec.variant != "line" for spec in specs):
-        raise _bad(
-            "method 'batch' cannot run problem-variant scenarios; "
-            "use method 'event' for variant != 'line'"
-        )
-    # The batch fast path needs the invariant audit off (the audit
-    # requires an event log only the engine produces); default
-    # accordingly but let the client force either.
-    default_invariants = method != "batch"
-    check_invariants = bool(
-        payload.get("check_invariants", default_invariants)
-    )
+    check_invariants = bool(payload.get("check_invariants", True))
 
     client = payload.get("client", "anonymous")
     if not isinstance(client, str) or not client:
@@ -430,7 +386,6 @@ def parse_submission(
 
     return Submission(
         specs=tuple(specs),
-        method=method,
         check_invariants=check_invariants,
         client=client,
         deadline=deadline,

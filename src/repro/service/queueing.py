@@ -151,7 +151,6 @@ class Job:
             "total": self.total,
             "cache_hits": self.cache_hits,
             "client": self.submission.client,
-            "method": self.submission.method,
             "submitted_at": self.submitted_at,
             "deadline_at": self.deadline_at,
             "events_dropped": self._events_dropped,

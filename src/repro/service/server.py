@@ -16,7 +16,7 @@ Endpoints (all under ``/v1``)::
     GET  /v1/jobs/<id>/result fetch the terminal report envelope
     GET  /v1/jobs/<id>/events stream progress as JSON lines
     GET  /v1/healthz          liveness
-    GET  /v1/readyz           readiness: queue, workers, cache, parity
+    GET  /v1/readyz           readiness: queue, workers, cache
     GET  /v1/metrics          live Prometheus text
 
 Robustness model
@@ -111,11 +111,6 @@ class ServiceConfig:
         scenario_timeout: per-scenario watchdog forwarded to the
             executor (forces the worker-process pool).
         executor_jobs: worker *processes* per campaign executor.
-        default_method: ``"event"`` or ``"batch"`` for submissions
-            that do not choose.
-        parity_check: run the engine-parity harness once at startup
-            and report it in readiness; batch submissions are refused
-            if it failed.
         max_scenarios_per_job: per-submission scenario bound.
         overload_retry_after: hint (seconds) sent in the
             ``Retry-After`` header with ``overloaded`` refusals.
@@ -141,8 +136,6 @@ class ServiceConfig:
     scenario_timeout: Optional[float] = None
     executor_jobs: int = 1
     retry_policy: Optional[RetryPolicy] = None
-    default_method: str = "event"
-    parity_check: bool = True
     max_scenarios_per_job: int = 10000
     overload_retry_after: float = 1.0
     enable_telemetry: bool = True
@@ -174,10 +167,6 @@ class ServiceConfig:
             )
         if self.executor_jobs < 1:
             raise InvalidParameterError("executor_jobs must be >= 1")
-        if self.default_method not in ("event", "batch"):
-            raise InvalidParameterError(
-                "default_method must be 'event' or 'batch'"
-            )
         if self.max_scenarios_per_job < 1:
             raise InvalidParameterError(
                 "max_scenarios_per_job must be >= 1"
@@ -220,9 +209,6 @@ class LineSearchService:
         self._workers: List[threading.Thread] = []
         self._telemetry = None
         self._previous_telemetry = None
-        self._backend_name = "pure"
-        self._parity: Dict[str, Any] = {"checked": False}
-        self._batch_ok = True
         # Recover durable state before taking any traffic: replay the
         # manifest, warm the cache from every journal, requeue the
         # non-terminal jobs in submission order.
@@ -232,32 +218,6 @@ class LineSearchService:
                 self.cache.warm_from_journal(
                     self.registry.journal_path(job.id)
                 )
-        self._run_startup_parity()
-
-    # -- startup parity (the batch fast path's license to serve) -------
-
-    def _run_startup_parity(self) -> None:
-        from repro.batch.backend import get_backend
-
-        self._backend_name = get_backend(None).name
-        if not self.config.parity_check:
-            self._parity = {"checked": False, "backend": self._backend_name}
-            return
-        from repro.batch import run_parity_harness
-
-        report = run_parity_harness(
-            pairs=[(3, 1), (4, 2)],
-            targets_per_pair=6,
-            fault_sets_per_target=2,
-            seed=2016,
-        )
-        self._batch_ok = report.passed
-        self._parity = {
-            "checked": True,
-            "passed": report.passed,
-            "points": report.total,
-            "backend": self._backend_name,
-        }
 
     # -- lifecycle -----------------------------------------------------
 
@@ -449,18 +409,11 @@ class LineSearchService:
             if isinstance(payload, Submission)
             else parse_submission(
                 payload,
-                default_method=self.config.default_method,
                 default_deadline=self.config.default_deadline,
                 max_deadline=self.config.max_deadline,
                 max_scenarios=self.config.max_scenarios_per_job,
             )
         )
-        if submission.method == "batch" and not self._batch_ok:
-            raise ServiceError(
-                "bad_request",
-                "the batch fast path failed its startup parity check on "
-                "this server; submit with method='event'",
-            )
         if self.limiter is not None and not self.limiter.allow(
             submission.client
         ):
@@ -548,7 +501,6 @@ class LineSearchService:
                 "service.job",
                 job=job.id,
                 scenarios=job.total,
-                method=job.submission.method,
             ):
                 self._execute_job(job)
         except CampaignInterrupted:
@@ -623,10 +575,7 @@ class LineSearchService:
 
     def _execute_job(self, job: Job) -> None:
         submission = job.submission
-        scenarios = [
-            build_scenario(spec, method=submission.method)
-            for spec in submission.specs
-        ]
+        scenarios = [build_scenario(spec) for spec in submission.specs]
         results: Dict[int, ScenarioResult] = {}
         to_run: List[Tuple[int, Any]] = []
         for index, scenario in enumerate(scenarios):
@@ -730,9 +679,6 @@ class LineSearchService:
             "rate_limit": (
                 None if self.limiter is None else self.limiter.stats()
             ),
-            "backend": self._backend_name,
-            "parity": self._parity,
-            "default_method": self.config.default_method,
             "uptime_seconds": time.monotonic() - self._started,
         }
         return (200 if ready else 503), body

@@ -104,10 +104,8 @@ class HalfLineVariant(ProblemVariant):
             f=scenario.spec.f,
         ):
             fleet, model = scenario.build()
-            # The batch kernels assume whole-line proportional fleets;
-            # the ray always renders through the engines.
             outcome = _dispatch_engines(
-                scenario, fleet, model, check_invariants, allow_batch=False
+                scenario, fleet, model, check_invariants
             )
         if telemetry is not None:
             obs.count("variants_runs_total")

@@ -52,6 +52,4 @@ class LineVariant(ProblemVariant):
         from repro.robustness.campaign import _dispatch_engines
 
         fleet, model = scenario.build()
-        return _dispatch_engines(
-            scenario, fleet, model, check_invariants, allow_batch=True
-        )
+        return _dispatch_engines(scenario, fleet, model, check_invariants)

@@ -12,7 +12,6 @@ class TestSpecParsing:
                       "mode": "event:adversarial:1.0"}}
         )
         assert sub.specs[0].mode == "event:adversarial:1.0"
-        assert sub.method == "event"
 
     def test_default_mode_stays_off_the_wire(self):
         # Digest stability: a default submission's spec dict must not
@@ -64,10 +63,4 @@ class TestBatchRefusal:
                  "method": "batch"}
             )
         assert excinfo.value.code == "bad_request"
-        assert "scheduled-time" in str(excinfo.value)
-
-    def test_batch_without_mode_still_fine(self):
-        sub = parse_submission(
-            {"spec": {"n": 3, "f": 1, "target": 2.0}, "method": "batch"}
-        )
-        assert sub.method == "batch"
+        assert "unknown submission field(s): method" in str(excinfo.value)

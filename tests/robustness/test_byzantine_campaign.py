@@ -9,6 +9,7 @@ from repro.robots import ByzantineAdversary, Fleet
 from repro.robustness.campaign import (
     PROTOCOLS,
     ScenarioSpec,
+    _SpecRealizer,
     build_scenario,
     chaos_scenarios,
     run_campaign,
@@ -71,9 +72,12 @@ class TestBuildScenario:
         spec = ScenarioSpec(
             4, 2, 3.0, "byzantine_adversarial", 7, protocol="confirmation"
         )
-        scenario = build_scenario(spec)
+        # refused when the scenario is built, before it can be queued...
         with pytest.raises(InvalidParameterError, match="2f \\+ 1"):
-            scenario.build()
+            build_scenario(spec)
+        # ...and still by the realizer, for scenarios assembled by hand
+        with pytest.raises(InvalidParameterError, match="2f \\+ 1"):
+            _SpecRealizer(spec)()
 
 
 class TestCampaignRuns:
@@ -95,24 +99,6 @@ class TestCampaignRuns:
             assert result.detection_time is not None
             assert math.isfinite(result.detection_time)
             assert result.spec.protocol == "confirmation"
-
-    def test_batch_method_falls_back_to_event_protocol(self):
-        """``method="batch"`` has no claim/vote semantics; confirmation
-        scenarios silently route through the protocol simulation and
-        must agree exactly with a direct event-level run."""
-        spec_kwargs = dict(
-            pairs=[(5, 2)],
-            targets=[3.0],
-            faults=["byzantine_adversarial:0.5;1.5"],
-            seed=7,
-            protocol="confirmation",
-        )
-        batch = run_campaign(chaos_scenarios(method="batch", **spec_kwargs))
-        event = run_campaign(chaos_scenarios(method="event", **spec_kwargs))
-        assert batch.failed == event.failed == 0
-        assert [r.detection_time for r in batch.results] == [
-            r.detection_time for r in event.results
-        ]
 
     def test_campaign_matches_direct_simulation(self):
         scenarios = chaos_scenarios(

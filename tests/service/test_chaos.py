@@ -18,7 +18,7 @@ class TestSigkillRestart:
         report = run_service_chaos(
             str(tmp_path),
             seed=7,
-            server_args=("--no-parity-check", "--workers", "1"),
+            server_args=("--workers", "1"),
         )
         detail = report.describe() + "\n" + "\n".join(report.events)
         assert report.final_state == "done", detail

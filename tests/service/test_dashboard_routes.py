@@ -24,7 +24,6 @@ from repro.service import LineSearchService, ServiceClient, ServiceConfig
 def _start(tmp_path, **overrides):
     options = {
         "state_dir": str(tmp_path / "state"),
-        "parity_check": False,
         "default_deadline": 120.0,
     }
     options.update(overrides)

@@ -48,7 +48,6 @@ class TestParseSubmission:
         sub = parse_submission({"spec": {"n": 3, "f": 1, "target": 2.0}})
         assert len(sub.specs) == 1
         assert sub.specs[0].n == 3
-        assert sub.method == "event"
         assert sub.check_invariants is True
         assert sub.client == "anonymous"
         assert sub.deadline is None
@@ -86,25 +85,23 @@ class TestParseSubmission:
             parse_submission({"specs": []})
 
     def test_method_validated(self):
-        with pytest.raises(ServiceError, match="method must be"):
-            parse_submission(
-                {"spec": {"n": 3, "f": 1, "target": 1.0}, "method": "warp"}
-            )
+        # ``method`` is no longer a submission field: any value of it is
+        # refused by name rather than silently ignored
+        for method in ("warp", "batch", "event"):
+            with pytest.raises(ServiceError) as info:
+                parse_submission(
+                    {"spec": {"n": 3, "f": 1, "target": 1.0},
+                     "method": method}
+                )
+            assert info.value.code == "bad_request"
+            assert str(info.value) == "unknown submission field(s): method"
 
-    def test_batch_defaults_invariants_off(self):
-        sub = parse_submission(
-            {"spec": {"n": 3, "f": 1, "target": 1.0}, "method": "batch"}
-        )
-        assert sub.check_invariants is False
-        # ...but the client can force them back on
-        forced = parse_submission(
-            {
-                "spec": {"n": 3, "f": 1, "target": 1.0},
-                "method": "batch",
-                "check_invariants": True,
-            }
-        )
-        assert forced.check_invariants is True
+    def test_unknown_top_level_fields_refused(self):
+        with pytest.raises(ServiceError, match="priority, queue"):
+            parse_submission(
+                {"spec": {"n": 3, "f": 1, "target": 1.0},
+                 "queue": "fast", "priority": 1}
+            )
 
     def test_deadline_validation_and_cap(self):
         with pytest.raises(ServiceError, match="must be positive"):
@@ -172,6 +169,13 @@ class TestGridSubmissions:
     def test_malformed_pair_rejected(self):
         with pytest.raises(ServiceError, match="each pair"):
             parse_submission({"pairs": [[3]], "targets": [1.0]})
+        # non-numeric grid values are bad requests, not server errors
+        for grid in (
+            {"pairs": [["a", 1]], "targets": [1.0]},
+            {"pairs": [[3, 1]], "targets": ["x"]},
+        ):
+            with pytest.raises(ServiceError, match="invalid scenario spec"):
+                parse_submission(grid)
 
 
 class TestSubmissionRoundTrip:
@@ -182,7 +186,6 @@ class TestSubmissionRoundTrip:
                     {"n": 3, "f": 1, "target": 2.0, "seed": 7},
                     {"n": 4, "f": 2, "target": -1.0, "fault": "crash_stop"},
                 ],
-                "method": "event",
                 "client": "roundtrip",
                 "deadline": 30.0,
                 "seed": 5,

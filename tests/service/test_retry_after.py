@@ -144,7 +144,6 @@ class TestProtocolWhitelist:
                     "fault": "byzantine_adversarial",
                     "protocol": "confirmation",
                 },
-                "method": "event",
             }
         )
         assert sub.specs[0].protocol == "confirmation"
@@ -161,7 +160,7 @@ class TestProtocolWhitelist:
                 }
             )
         assert info.value.code == "bad_request"
-        assert "batch" in str(info.value)
+        assert "unknown submission field(s): method" in str(info.value)
 
     def test_unknown_protocol_refused(self):
         with pytest.raises(ServiceError) as info:

@@ -7,12 +7,14 @@ in ``test_chaos.py``; here the restart scenarios use an in-process
 drain so they stay fast and deterministic.
 """
 
+import json
 import threading
+import time
 
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.robustness import CampaignExecutor
+from repro.robustness import CampaignExecutor, ScenarioSpec, run_campaign
 from repro.service import (
     LineSearchService,
     ServiceClient,
@@ -26,7 +28,6 @@ from repro.robustness.campaign import build_scenario
 def _start(tmp_path, **overrides):
     options = {
         "state_dir": str(tmp_path / "state"),
-        "parity_check": False,
         "default_deadline": 120.0,
     }
     options.update(overrides)
@@ -50,7 +51,7 @@ def _grid(scenarios=8, seed=0, **extra):
 
 def _reference_report(payload):
     sub = parse_submission(payload)
-    scenarios = [build_scenario(s, method=sub.method) for s in sub.specs]
+    scenarios = [build_scenario(s) for s in sub.specs]
     executor = CampaignExecutor(handle_sigterm=False)
     return executor.execute(scenarios, sub.check_invariants).to_dict()
 
@@ -68,7 +69,6 @@ class TestServiceConfigValidation:
             {"max_deadline": -3.0},
             {"scenario_timeout": 0.0},
             {"executor_jobs": 0},
-            {"default_method": "warp"},
             {"max_scenarios_per_job": 0},
         ],
         ids=lambda o: next(iter(o)),
@@ -140,17 +140,16 @@ class TestSubmitAndFetch:
         finally:
             service.stop()
 
-    def test_batch_method_served(self, tmp_path):
+    @pytest.mark.parametrize("target", [float("inf"), float("nan"), 0.0])
+    def test_invalid_target_refused_before_journaling(self, tmp_path, target):
         service, client = _start(tmp_path)
         try:
-            accepted = client.submit_campaign(
-                **_grid(6, seed=3), method="batch"
-            )
-            envelope = client.wait(accepted["job_id"], timeout=60.0)
-            assert envelope["state"] == "done"
-            report = envelope["report"]
-            assert report["failed"] == 0
-            assert len(report["results"]) == report["total"]
+            with pytest.raises(ServiceError) as info:
+                client.submit_campaign(
+                    specs=[{"n": 3, "f": 1, "target": target}]
+                )
+            assert info.value.code == "bad_request"
+            assert service.registry.jobs() == []
         finally:
             service.stop()
 
@@ -318,7 +317,7 @@ class TestDrainAndRestart:
         # report is byte-identical to an uninterrupted run, with the
         # checkpointed scenarios served from the warmed cache
         service2 = LineSearchService(
-            ServiceConfig(state_dir=state_dir, parity_check=False)
+            ServiceConfig(state_dir=state_dir)
         ).start()
         try:
             client2 = ServiceClient(service2.address, client_id="tests")
@@ -339,7 +338,7 @@ class TestDrainAndRestart:
         service.drain(timeout=30.0)
 
         service2 = LineSearchService(
-            ServiceConfig(state_dir=state_dir, parity_check=False)
+            ServiceConfig(state_dir=state_dir)
         ).start()
         try:
             client2 = ServiceClient(service2.address, client_id="tests")
@@ -352,6 +351,60 @@ class TestDrainAndRestart:
             service2.stop()
 
 
+class TestLegacyManifest:
+    def test_method_era_manifest_entry_replays(self, tmp_path):
+        """A ``jobs.jsonl`` entry written while submissions carried a
+        ``method`` field recovers: the key is ignored and the stored
+        ``check_invariants`` replays."""
+        specs = [
+            ScenarioSpec(n, f, target, fault, seed).to_dict()
+            for seed, (n, f, target, fault) in enumerate(
+                [
+                    (3, 1, 2.0, "adversarial"),
+                    (3, 1, -4.5, "fixed"),
+                    (4, 2, 7.0, "random"),
+                    (4, 2, -1.5, "none"),
+                ]
+            )
+        ]
+        entry = {
+            "event": "submit",
+            "id": "job-000001",
+            "submitted_at": time.time(),
+            "request": {
+                "specs": specs,
+                "method": "batch",
+                "check_invariants": False,
+                "client": "legacy",
+                "deadline": 120.0,
+                "seed": 0,
+            },
+        }
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        (state_dir / "jobs.jsonl").write_text(
+            json.dumps(entry, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        expected = run_campaign(
+            [build_scenario(ScenarioSpec.from_dict(s)) for s in specs],
+            check_invariants=False,
+        )
+        service, client = _start(tmp_path)
+        try:
+            job = service.registry.get("job-000001")
+            assert job.submission.check_invariants is False
+            envelope = client.wait("job-000001", timeout=60.0)
+            assert envelope["state"] == "done"
+            with open(
+                service.registry.report_path("job-000001"), encoding="utf-8"
+            ) as handle:
+                stored = json.load(handle)["report"]
+            served = json.dumps(stored, indent=2, sort_keys=True)
+            assert served == expected.to_json()
+        finally:
+            service.stop()
+
+
 class TestIntrospection:
     def test_health_ready_and_metrics(self, tmp_path):
         service, client = _start(tmp_path)
@@ -361,7 +414,10 @@ class TestIntrospection:
             ready = client.ready()
             assert ready["ready"] is True
             assert ready["queue"]["capacity"] == 16
-            assert ready["backend"] in ("numpy", "pure")
+            assert set(ready) == {
+                "ok", "ready", "draining", "queue", "workers", "jobs",
+                "cache", "rate_limit", "uptime_seconds",
+            }
             client.submit_scenario({"n": 3, "f": 1, "target": 1.0})
             text = client.metrics()
             assert "service_requests_total" in text
@@ -369,13 +425,3 @@ class TestIntrospection:
         finally:
             service.stop()
 
-    def test_startup_parity_reported_in_readiness(self, tmp_path):
-        service, client = _start(tmp_path, parity_check=True)
-        try:
-            parity = client.ready()["parity"]
-            assert parity["checked"] is True
-            assert parity["passed"] is True
-            assert parity["points"] > 0
-            assert parity["backend"] == service._backend_name
-        finally:
-            service.stop()

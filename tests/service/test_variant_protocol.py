@@ -57,13 +57,7 @@ class TestBatchRefusal:
                 }
             )
         assert excinfo.value.code == "bad_request"
-        assert "batch" in str(excinfo.value)
-
-    def test_batch_still_accepts_line_scenarios(self):
-        sub = parse_submission(
-            {"spec": {"n": 3, "f": 1, "target": 2.0}, "method": "batch"}
-        )
-        assert sub.method == "batch"
+        assert "unknown submission field(s): method" in str(excinfo.value)
 
 
 class TestGridVariant:

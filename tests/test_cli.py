@@ -228,19 +228,20 @@ class TestChaos:
         assert "pair" in err.lower() or "banana" in err
 
     def test_failures_exit_1_for_ci_gating(self, capsys):
-        # (3, 3) is invalid (needs n >= 2f + 2): the scenario fails and
-        # is isolated, and the campaign exit code must reflect it
+        # robot 9 is outside A(3,1): the fault assignment fails at run
+        # time, the scenario is isolated, and the campaign exit code
+        # must reflect it
         code, out, _ = run_cli(
-            capsys, "chaos", "--pairs", "3,3", "--targets", "1.0",
-            "--faults", "none", "--seed", "1",
+            capsys, "chaos", "--pairs", "3,1", "--targets", "1.0",
+            "--faults", "fixed:9", "--seed", "1",
         )
         assert code == 1
         assert "1 failure(s) isolated" in out
 
     def test_allow_failures_opts_out_of_gating(self, capsys):
         code, out, _ = run_cli(
-            capsys, "chaos", "--pairs", "3,3", "--targets", "1.0",
-            "--faults", "none", "--seed", "1", "--allow-failures",
+            capsys, "chaos", "--pairs", "3,1", "--targets", "1.0",
+            "--faults", "fixed:9", "--seed", "1", "--allow-failures",
         )
         assert code == 0
         assert "1 failure(s) isolated" in out
@@ -288,14 +289,6 @@ class TestChaos:
         )
         assert code == 0
         assert "mode" not in out
-
-    def test_mode_plus_batch_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "chaos", "--pairs", "3,1", "--targets", "1.0",
-            "--mode", "event:async:1.0", "--method", "batch",
-        )
-        assert code == 2
-        assert "batch" in err
 
     def test_bad_mode_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -370,15 +363,16 @@ class TestAsyncCLI:
                 ["async", "sweep", "3", "1", "--scheduler", "fsync"]
             )
 
-    def test_confirmation_below_minimum_fleet_is_isolated(self, capsys):
-        # (4, 2) violates n >= 2f + 1: the scenario fails at realize
-        # time, is isolated, and gates the exit code
-        code, out, _ = run_cli(
+    def test_confirmation_below_minimum_fleet_exits_2(self, capsys):
+        # (4, 2) violates n >= 2f + 1: the spec is refused when the grid
+        # is built, before any scenario runs
+        code, out, err = run_cli(
             capsys, "chaos", "--pairs", "4,2", "--targets", "1.0",
             "--faults", "none", "--protocol", "confirmation", "--seed", "1",
         )
-        assert code == 1
-        assert "1 failure(s) isolated" in out
+        assert code == 2
+        assert "2f + 1" in err
+        assert "scenarios ok" not in out
 
     def test_unknown_protocol_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -865,13 +859,6 @@ class TestChaosVariant:
         assert code == 0
         assert "variant" not in out
 
-    def test_variant_plus_batch_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "chaos", "--pairs", "3,1", "--targets", "1.0",
-            "--variant", "halfline", "--method", "batch",
-        )
-        assert code == 2
-        assert "variant" in err
 
 
 class TestDashboard:

@@ -42,10 +42,15 @@ class TestRegistry:
         assert VARIANTS == VARIANT_NAMES
 
     def test_service_whitelist_uses_the_campaign_tuple(self):
-        from repro.robustness.campaign import VARIANTS as campaign_variants
-        from repro.service.protocol import VARIANTS as service_variants
+        # the service validates specs through build_scenario, so its
+        # refusal lists exactly the campaign tuple
+        from repro.robustness.campaign import VARIANTS
+        from repro.service.protocol import ServiceError, parse_submission
 
-        assert service_variants is campaign_variants
+        with pytest.raises(ServiceError, match=", ".join(VARIANTS)):
+            parse_submission(
+                {"spec": {"n": 3, "f": 1, "target": 2.0, "variant": "torus"}}
+            )
 
 
 class TestContract:
