@@ -29,11 +29,7 @@ from repro.async_sched.invariants import (
     audit_async_outcome,
     check_async_outcome,
 )
-from repro.async_sched.parity import (
-    AsyncParityCase,
-    AsyncParityReport,
-    run_async_parity,
-)
+from repro.async_sched.parity import run_async_parity
 from repro.async_sched.schedulers import (
     SCHEDULER_KINDS,
     ActivationScheduler,
@@ -54,8 +50,6 @@ from repro.async_sched.timeline import Timeline
 __all__ = [
     "ActivationScheduler",
     "AdversarialScheduler",
-    "AsyncParityCase",
-    "AsyncParityReport",
     "AsyncRunRecord",
     "AsyncScheduler",
     "DegradationPoint",

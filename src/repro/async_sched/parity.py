@@ -4,40 +4,25 @@ The continuous :class:`~repro.simulation.engine.SearchSimulation` is the
 semantic oracle of this library.  The discrete-event engine claims that
 under the trivial schedule — FSYNC activation, unit speeds — it *is*
 the continuous engine: same detection times, same detecting robot, to
-the last bit.  This harness replays a seeded grid of (regime, target,
-fault-kind) points through both engines and asserts **exact** float
-equality (``==``, not ``times_close``) on detection times — the
+the last bit.  This registration of the shared harness
+(:mod:`repro.parity`) replays a seeded grid of (regime, target,
+fault-kind) points through both engines and asserts **exact** agreement
+(``.hex()``-equal detection times, not ``times_close``) — the
 cumulative-offset construction of :mod:`repro.async_sched.timeline`
 makes bit-exactness achievable, so the harness demands it.
-
-Fault models are realized *fresh* for each engine run via the campaign
-fault DSL: stochastic models (``random``) keep internal generator
-state across ``assign()`` calls, so sharing one instance between the
-two runs would silently compare different fault subsets.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.async_sched.engine import EventEngine
 from repro.async_sched.schedulers import FsyncScheduler
-from repro.errors import InvalidParameterError
+from repro.parity import DEFAULT_FAULT_KINDS, ParityReport, Runner, run_parity
 from repro.robots.fleet import Fleet
-from repro.robustness.campaign import ScenarioSpec, _fault_model_for
-from repro.simulation.engine import SearchSimulation
+from repro.robustness.campaign import _fault_model_for
 
-__all__ = [
-    "AsyncParityCase",
-    "AsyncParityReport",
-    "DEFAULT_PAIRS",
-    "DEFAULT_FAULT_KINDS",
-    "run_async_parity",
-]
+__all__ = ["DEFAULT_PAIRS", "run_async_parity"]
 
 #: Default regimes: the paper's extremes n = f+1 and n = 2f+1, an
 #: interior proportional regime, and a trivial regime (n >= 2f + 2).
@@ -50,136 +35,25 @@ DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = (
     (7, 3),
 )
 
-#: Fault spec strings exercised per target (campaign DSL), spanning the
-#: whole behavior taxonomy: pure crash-detection, motion-truncating
-#: crash-stop, log-shaping Byzantine alarms, and seeded probabilistic
-#: detection.
-DEFAULT_FAULT_KINDS: Tuple[str, ...] = (
-    "none",
-    "adversarial",
-    "fixed",
-    "crash_stop:2.0",
-    "byzantine:0.5;1.5",
-    "probabilistic:0.7",
-)
 
+def _fsync_candidate(quantum: float, seed: int):
+    """The event engine under FSYNC activation as a parity candidate."""
 
-@dataclass(frozen=True)
-class AsyncParityCase:
-    """One compared point; agreement means bit-exact equality."""
+    def candidate(fleet: Fleet, f: int) -> Runner:
+        def run(spec):
+            # A fresh fault model, as on the reference side.
+            event = EventEngine(
+                fleet,
+                spec.target,
+                scheduler=FsyncScheduler(quantum),
+                fault_model=_fault_model_for(spec)[0],
+                seed=seed,
+            ).run(with_events=False)
+            return event.detection_time, event.detecting_robot
 
-    n: int
-    f: int
-    target: float
-    fault: str
-    continuous_time: float
-    event_time: float
-    continuous_robot: Optional[int]
-    event_robot: Optional[int]
+        return run
 
-    @property
-    def agree(self) -> bool:
-        """Exact detection-time equality (inf matches inf) and the same
-        detecting robot."""
-        times_equal = (
-            self.continuous_time == self.event_time
-            if math.isfinite(self.continuous_time)
-            or math.isfinite(self.event_time)
-            else True
-        )
-        return times_equal and self.continuous_robot == self.event_robot
-
-    def describe(self) -> str:
-        verdict = "ok " if self.agree else "MISMATCH"
-        return (
-            f"{verdict} A({self.n},{self.f}) x={self.target:.6g} "
-            f"fault={self.fault}: continuous={self.continuous_time!r} "
-            f"event={self.event_time!r} robots="
-            f"{self.continuous_robot}/{self.event_robot}"
-        )
-
-
-@dataclass
-class AsyncParityReport:
-    """The outcome of one parity run: every case, plus the verdict."""
-
-    seed: int
-    quantum: float
-    cases: List[AsyncParityCase] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.cases)
-
-    @property
-    def regimes(self) -> List[Tuple[int, int]]:
-        return sorted({(c.n, c.f) for c in self.cases})
-
-    def mismatches(self) -> List[AsyncParityCase]:
-        return [c for c in self.cases if not c.agree]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches()
-
-    def describe(self, max_mismatches: int = 10) -> str:
-        bad = self.mismatches()
-        lines = [
-            f"async parity[fsync, quantum={self.quantum:g}]: "
-            f"{self.total - len(bad)}/{self.total} points bit-exact "
-            f"across {len(self.regimes)} regimes (seed={self.seed})"
-        ]
-        for case in bad[:max_mismatches]:
-            lines.append("  " + case.describe())
-        hidden = len(bad) - max_mismatches
-        if hidden > 0:
-            lines.append(f"  ... and {hidden} more mismatches")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        def encode(t: float):
-            return t if math.isfinite(t) else repr(t)
-
-        return {
-            "format": "linesearch-async-parity-report",
-            "version": 1,
-            "seed": self.seed,
-            "quantum": self.quantum,
-            "total": self.total,
-            "passed": self.passed,
-            "regimes": [list(r) for r in self.regimes],
-            "mismatches": len(self.mismatches()),
-            "cases": [
-                {
-                    "n": c.n,
-                    "f": c.f,
-                    "target": c.target,
-                    "fault": c.fault,
-                    "continuous_time": encode(c.continuous_time),
-                    "event_time": encode(c.event_time),
-                    "continuous_robot": c.continuous_robot,
-                    "event_robot": c.event_robot,
-                    "agree": c.agree,
-                }
-                for c in self.cases
-            ],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-def _seeded_targets(
-    rng: random.Random, count: int, x_max: float
-) -> List[float]:
-    """``count`` targets, log-uniform in ``[1, x_max]``, random signs."""
-    targets = []
-    log_max = math.log(x_max)
-    for _ in range(count):
-        magnitude = math.exp(rng.uniform(0.0, log_max))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        targets.append(sign * magnitude)
-    return targets
+    return candidate
 
 
 def run_async_parity(
@@ -189,7 +63,7 @@ def run_async_parity(
     seed: int = 2016,
     x_max: float = 16.0,
     quantum: float = 0.5,
-) -> AsyncParityReport:
+) -> ParityReport:
     """Replay a seeded grid through both engines; demand bit-exactness.
 
     Args:
@@ -212,44 +86,13 @@ def run_async_parity(
         >>> report.total
         4
     """
-    if targets_per_pair < 1:
-        raise InvalidParameterError("targets_per_pair must be >= 1")
-    if x_max <= 1.0:
-        raise InvalidParameterError(f"x_max must exceed 1, got {x_max}")
-    from repro.schedule import algorithm_for
-
-    rng = random.Random(seed)
-    cases: List[AsyncParityCase] = []
-    for n, f in pairs:
-        fleet = Fleet.from_algorithm(algorithm_for(n, f))
-        targets = _seeded_targets(rng, targets_per_pair, x_max)
-        for target in targets:
-            for fault in fault_kinds:
-                spec = ScenarioSpec(
-                    n=n, f=f, target=target, fault=fault, seed=seed
-                )
-                # Fresh fault model per engine run: stochastic models
-                # mutate generator state on every assign().
-                continuous = SearchSimulation(
-                    fleet, target, fault_model=_fault_model_for(spec)[0]
-                ).run(with_events=False)
-                event = EventEngine(
-                    fleet,
-                    target,
-                    scheduler=FsyncScheduler(quantum),
-                    fault_model=_fault_model_for(spec)[0],
-                    seed=seed,
-                ).run(with_events=False)
-                cases.append(
-                    AsyncParityCase(
-                        n=n,
-                        f=f,
-                        target=target,
-                        fault=fault,
-                        continuous_time=continuous.detection_time,
-                        event_time=event.detection_time,
-                        continuous_robot=continuous.detecting_robot,
-                        event_robot=event.detecting_robot,
-                    )
-                )
-    return AsyncParityReport(seed=seed, quantum=quantum, cases=cases)
+    return run_parity(
+        "async",
+        f"async parity[fsync, quantum={quantum:g}]",
+        _fsync_candidate(quantum, seed),
+        lambda rng, n, f: fault_kinds,
+        pairs,
+        targets_per_pair,
+        seed,
+        x_max,
+    )

@@ -14,9 +14,11 @@ answers it for whole grids at once:
   the ``scientific`` extra) — bit-for-bit identical by construction;
 * :mod:`repro.batch.evaluate` is the high-level entry point
   (:class:`BatchEvaluator`);
-* :mod:`repro.batch.parity` replays seeded grids through both the
-  kernels and :class:`~repro.simulation.engine.SearchSimulation` and
-  asserts agreement — the engine stays the oracle, batch is the fast
+* :mod:`repro.batch.parity` registers the kernels with the shared
+  parity harness (:mod:`repro.parity`), which replays seeded grids
+  through both the kernels and
+  :class:`~repro.simulation.engine.SearchSimulation` and asserts
+  agreement — the engine stays the oracle, batch is the fast
   path (opt-in via ``method="batch"`` in
   :func:`~repro.simulation.sweep.target_sweep` and
   :class:`~repro.simulation.adversary.CompetitiveRatioEstimator`;
@@ -46,7 +48,7 @@ from repro.batch.compile import (
     compile_trajectory,
 )
 from repro.batch.evaluate import BatchEvaluator
-from repro.batch.parity import ParityCase, ParityReport, run_parity_harness
+from repro.batch.parity import run_parity_harness
 
 __all__ = [
     "BatchBackend",
@@ -54,8 +56,6 @@ __all__ = [
     "CompiledFleet",
     "CompiledTrajectory",
     "NumpyBackend",
-    "ParityCase",
-    "ParityReport",
     "PureBackend",
     "available_backends",
     "compile_fleet",

@@ -3,7 +3,8 @@
 The event engine (:class:`~repro.simulation.engine.SearchSimulation`)
 is the semantic oracle of this library.  The batch subsystem is only a
 *fast path*, so its correctness claim is empirical as well as
-analytical: this module replays a seeded grid of (regime, target,
+analytical: this registration of the shared harness
+(:mod:`repro.parity`) replays a seeded grid of (regime, target,
 fault-set) points through both the batch kernels and the engine and
 asserts agreement within :mod:`repro.core.tolerance` bounds.
 
@@ -13,6 +14,8 @@ extreme cases ``n = f + 1`` (all robots must reach every target) and
 trivial regime ``n >= 2f + 2`` — with both adversarial (worst-case
 ``T_{f+1}``) and explicit (fixed / seeded-random subset) fault
 assignments, for well over the 1000 points the acceptance bar asks for.
+Fault assignments are campaign fault-DSL strings: ``"adversarial"``,
+``"none"``, and ``"fixed:i,j"`` for an explicit crash-detection subset.
 
 CI runs this twice: in a bare venv (pure backend) and with the
 ``scientific`` extra installed (numpy backend); the JSON report is kept
@@ -21,21 +24,16 @@ as a build artifact either way.
 
 from __future__ import annotations
 
-import json
-import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro.batch.backend import BatchBackend
+from repro.batch.backend import BatchBackend, get_backend
 from repro.batch.evaluate import BatchEvaluator
-from repro.core.tolerance import TIME_RTOL, times_close
 from repro.errors import InvalidParameterError
-from repro.robots.faults import AdversarialFaults, FixedFaults
+from repro.parity import ParityReport, Runner, run_parity
 from repro.robots.fleet import Fleet
-from repro.simulation.engine import SearchSimulation
 
-__all__ = ["ParityCase", "ParityReport", "run_parity_harness", "DEFAULT_PAIRS"]
+__all__ = ["run_parity_harness", "DEFAULT_PAIRS"]
 
 #: Default regimes: n = f+1 twice, n = 2f+1 twice, one interior
 #: proportional regime, and one trivial-regime (n >= 2f+2) fleet.
@@ -49,148 +47,36 @@ DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ParityCase:
-    """One compared point: a regime, a target, and a fault assignment.
-
-    ``fault_set`` is ``None`` for the adversarial (worst-case) case,
-    where the engine's fault model picks the subset itself; otherwise
-    the explicit crash-detection fault indices.
-    """
-
-    n: int
-    f: int
-    target: float
-    fault_set: Optional[Tuple[int, ...]]
-    engine_time: float
-    batch_time: float
-
-    @property
-    def agree(self) -> bool:
-        """Whether the two paths agree within tolerance (or are both
-        infinite)."""
-        if math.isinf(self.engine_time) or math.isinf(self.batch_time):
-            return math.isinf(self.engine_time) and math.isinf(
-                self.batch_time
-            )
-        return times_close(self.engine_time, self.batch_time)
-
-    def describe(self) -> str:
-        """One-line summary."""
-        faults = (
-            "adversarial"
-            if self.fault_set is None
-            else f"faulty={list(self.fault_set)}"
-        )
-        verdict = "ok " if self.agree else "MISMATCH"
-        return (
-            f"{verdict} A({self.n},{self.f}) x={self.target:.6g} {faults}: "
-            f"engine={self.engine_time:.9g} batch={self.batch_time:.9g}"
-        )
-
-
-@dataclass
-class ParityReport:
-    """The outcome of one parity run: every case, plus the verdict."""
-
-    backend: str
-    seed: int
-    cases: List[ParityCase] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        """Number of compared points."""
-        return len(self.cases)
-
-    @property
-    def regimes(self) -> List[Tuple[int, int]]:
-        """Distinct ``(n, f)`` regimes covered, sorted."""
-        return sorted({(c.n, c.f) for c in self.cases})
-
-    def mismatches(self) -> List[ParityCase]:
-        """Cases where batch and engine disagree."""
-        return [c for c in self.cases if not c.agree]
-
-    @property
-    def passed(self) -> bool:
-        """Whether every compared point agreed."""
-        return not self.mismatches()
-
-    def describe(self, max_mismatches: int = 10) -> str:
-        """Multi-line summary."""
-        bad = self.mismatches()
-        lines = [
-            f"parity[{self.backend}]: {self.total - len(bad)}/{self.total} "
-            f"points agree across {len(self.regimes)} regimes "
-            f"(rtol={TIME_RTOL:g}, seed={self.seed})"
-        ]
-        for case in bad[:max_mismatches]:
-            lines.append("  " + case.describe())
-        hidden = len(bad) - max_mismatches
-        if hidden > 0:
-            lines.append(f"  ... and {hidden} more mismatches")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        """JSON-ready representation (non-finite times encoded as
-        strings, like the campaign report)."""
-
-        def encode(t: float):
-            return t if math.isfinite(t) else repr(t)
-
-        return {
-            "format": "linesearch-parity-report",
-            "version": 1,
-            "backend": self.backend,
-            "seed": self.seed,
-            "total": self.total,
-            "passed": self.passed,
-            "regimes": [list(r) for r in self.regimes],
-            "mismatches": len(self.mismatches()),
-            "cases": [
-                {
-                    "n": c.n,
-                    "f": c.f,
-                    "target": c.target,
-                    "fault_set": (
-                        None if c.fault_set is None else list(c.fault_set)
-                    ),
-                    "engine_time": encode(c.engine_time),
-                    "batch_time": encode(c.batch_time),
-                    "agree": c.agree,
-                }
-                for c in self.cases
-            ],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize as a durable JSON artifact (canonical key order)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-def _seeded_targets(
-    rng: random.Random, count: int, x_max: float
-) -> List[float]:
-    """``count`` targets, log-uniform in ``[1, x_max]``, random signs."""
-    targets = []
-    log_max = math.log(x_max)
-    for _ in range(count):
-        magnitude = math.exp(rng.uniform(0.0, log_max))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        targets.append(sign * magnitude)
-    return targets
-
-
-def _fault_sets(
-    rng: random.Random, n: int, f: int, count: int
-) -> List[Optional[Tuple[int, ...]]]:
+def _fault_specs(rng: random.Random, n: int, f: int, count: int) -> List[str]:
     """Fault assignments for one target: adversarial, fault-free, and
     seeded random subsets of size at most ``f``."""
-    sets: List[Optional[Tuple[int, ...]]] = [None, ()]
-    while len(sets) < count:
-        size = rng.randint(0, f)
-        sets.append(tuple(sorted(rng.sample(range(n), size))))
-    return sets[:count]
+    specs = ["adversarial", "none"]
+    while len(specs) < count:
+        subset = sorted(rng.sample(range(n), rng.randint(0, f)))
+        specs.append(
+            "fixed:" + ",".join(map(str, subset)) if subset else "none"
+        )
+    return specs[:count]
+
+
+def _batch_candidate(backend: BatchBackend):
+    """The kernels as a parity candidate: per regime, a runner giving
+    ``T_{f+1}`` for the adversarial spec and the explicit-subset
+    detection time otherwise (the kernels report no robot)."""
+
+    def candidate(fleet: Fleet, f: int) -> Runner:
+        evaluator = BatchEvaluator(fleet, fault_budget=f, backend=backend)
+
+        def run(spec) -> Tuple[float, None]:
+            if spec.fault == "adversarial":
+                return evaluator.search_times([spec.target])[0], None
+            _, _, subset = spec.fault.partition(":")
+            faulty = [int(i) for i in subset.split(",")] if subset else []
+            return evaluator.detection_times([spec.target], faulty)[0], None
+
+        return run
+
+    return candidate
 
 
 def run_parity_harness(
@@ -224,48 +110,18 @@ def run_parity_harness(
         >>> report.total
         6
     """
-    if targets_per_pair < 1 or fault_sets_per_target < 1:
-        raise InvalidParameterError(
-            "targets_per_pair and fault_sets_per_target must be >= 1"
-        )
-    if x_max <= 1.0:
-        raise InvalidParameterError(f"x_max must exceed 1, got {x_max}")
-    from repro.schedule import algorithm_for
-
-    rng = random.Random(seed)
-    cases: List[ParityCase] = []
-    backend_name = ""
-    for n, f in pairs:
-        algorithm = algorithm_for(n, f)
-        evaluator = BatchEvaluator(algorithm, fault_budget=f, backend=backend)
-        backend_name = evaluator.backend.name
-        engine_fleet = Fleet.from_algorithm(algorithm)
-        targets = _seeded_targets(rng, targets_per_pair, x_max)
-        worst = evaluator.search_times(targets)
-        for target, batch_worst in zip(targets, worst):
-            for fault_set in _fault_sets(rng, n, f, fault_sets_per_target):
-                if fault_set is None:
-                    model = AdversarialFaults(f)
-                    batch_time = batch_worst
-                else:
-                    model = FixedFaults(fault_set) if fault_set else None
-                    batch_time = evaluator.detection_times(
-                        [target], fault_set
-                    )[0]
-                simulation = SearchSimulation(
-                    engine_fleet,
-                    target,
-                    fault_model=model,
-                )
-                engine_time = simulation.run(with_events=False).detection_time
-                cases.append(
-                    ParityCase(
-                        n=n,
-                        f=f,
-                        target=target,
-                        fault_set=fault_set,
-                        engine_time=engine_time,
-                        batch_time=batch_time,
-                    )
-                )
-    return ParityReport(backend=backend_name, seed=seed, cases=cases)
+    if fault_sets_per_target < 1:
+        raise InvalidParameterError("fault_sets_per_target must be >= 1")
+    if not isinstance(backend, BatchBackend):
+        backend = get_backend(backend)
+    return run_parity(
+        "batch",
+        f"parity[{backend.name}]",
+        _batch_candidate(backend),
+        lambda rng, n, f: _fault_specs(rng, n, f, fault_sets_per_target),
+        pairs,
+        targets_per_pair,
+        seed,
+        x_max,
+        exact=False,
+    )

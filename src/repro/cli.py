@@ -69,6 +69,24 @@ from repro.errors import LineSearchError
 __all__ = ["main", "build_parser"]
 
 
+def _add_parity_parser(subparsers, help_text: str, targets: int,
+                       x_max: float) -> argparse.ArgumentParser:
+    """A ``parity`` subcommand with the flags every harness shares."""
+    parser = subparsers.add_parser("parity", help=help_text)
+    parser.add_argument(
+        "--pairs", nargs="+", default=None, metavar="N,F",
+        help="regimes compared (default: the harness's built-in grid)",
+    )
+    parser.add_argument("--targets", type=int, default=targets,
+                        help=f"seeded targets per regime (default: {targets})")
+    parser.add_argument("--seed", type=int, default=2016)
+    parser.add_argument("--x-max", type=float, default=x_max)
+    parser.add_argument("--report-json", type=str, default=None,
+                        metavar="PATH",
+                        help="write the full parity report as JSON")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -194,25 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None,
                           help="kernel backend (default: auto-select)")
 
-    pb_parity = batch_sub.add_parser(
-        "parity", help="replay a seeded grid through batch AND the engine"
+    pb_parity = _add_parity_parser(
+        batch_sub, "replay a seeded grid through batch AND the engine",
+        targets=40, x_max=32.0,
     )
-    pb_parity.add_argument(
-        "--pairs", nargs="+", default=None, metavar="N,F",
-        help="regimes compared (default: the built-in six)",
-    )
-    pb_parity.add_argument("--targets", type=int, default=40,
-                           help="seeded targets per regime (default: 40)")
     pb_parity.add_argument("--fault-sets", type=int, default=5,
                            help="fault assignments per target (default: 5)")
-    pb_parity.add_argument("--seed", type=int, default=2016)
-    pb_parity.add_argument("--x-max", type=float, default=32.0)
     pb_parity.add_argument("--backend", choices=("pure", "numpy"),
                            default=None,
                            help="kernel backend (default: auto-select)")
-    pb_parity.add_argument("--report-json", type=str, default=None,
-                           metavar="PATH",
-                           help="write the full parity report as JSON")
 
     p_async = sub.add_parser(
         "async",
@@ -254,24 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="PATH",
                           help="write the full degradation report as JSON")
 
-    pa_parity = async_sub.add_parser(
-        "parity",
-        help="prove the FSYNC event engine reproduces the continuous "
-             "engine bit-exactly",
+    pa_parity = _add_parity_parser(
+        async_sub,
+        "prove the FSYNC event engine reproduces the continuous "
+        "engine bit-exactly",
+        targets=12, x_max=16.0,
     )
-    pa_parity.add_argument(
-        "--pairs", nargs="+", default=None, metavar="N,F",
-        help="regimes compared (default: the built-in six)",
-    )
-    pa_parity.add_argument("--targets", type=int, default=12,
-                           help="seeded targets per regime (default: 12)")
-    pa_parity.add_argument("--seed", type=int, default=2016)
-    pa_parity.add_argument("--x-max", type=float, default=16.0)
     pa_parity.add_argument("--quantum", type=float, default=0.5,
                            help="FSYNC round length (default: 0.5)")
-    pa_parity.add_argument("--report-json", type=str, default=None,
-                           metavar="PATH",
-                           help="write the full parity report as JSON")
 
     p_chaos = sub.add_parser(
         "chaos", help="run a seeded fault-injection campaign"
@@ -395,22 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv_evac.add_argument("--no-invariants", action="store_true",
                          help="skip the evacuation invariant audit")
 
-    pv_parity = var_sub.add_parser(
-        "parity",
-        help="prove variant='line' dispatch reproduces the continuous "
-             "engine bit-exactly",
+    _add_parity_parser(
+        var_sub,
+        "prove variant='line' dispatch reproduces the continuous "
+        "engine bit-exactly",
+        targets=8, x_max=16.0,
     )
-    pv_parity.add_argument(
-        "--pairs", nargs="+", default=None, metavar="N,F",
-        help="regimes compared (default: the built-in six)",
-    )
-    pv_parity.add_argument("--targets", type=int, default=8,
-                           help="seeded targets per regime (default: 8)")
-    pv_parity.add_argument("--seed", type=int, default=2016)
-    pv_parity.add_argument("--x-max", type=float, default=16.0)
-    pv_parity.add_argument("--report-json", type=str, default=None,
-                           metavar="PATH",
-                           help="write the full parity report as JSON")
 
     p_serve = sub.add_parser(
         "serve",
@@ -773,6 +761,27 @@ def _parse_pairs(raw_pairs):
     return pairs
 
 
+def _parity_grid(args: argparse.Namespace) -> dict:
+    """The grid arguments every ``parity`` subcommand passes through;
+    without ``--pairs`` the harness keeps its own default regimes."""
+    grid = dict(targets_per_pair=args.targets, seed=args.seed,
+                x_max=args.x_max)
+    if args.pairs:
+        grid["pairs"] = _parse_pairs(args.pairs)
+    return grid
+
+
+def _gated_report(report, report_json: Optional[str]):
+    """A gated report's summary and exit code (1 unless it passed),
+    after writing its JSON artifact when ``report_json`` is given."""
+    lines = [report.describe()]
+    if report_json:
+        with open(report_json, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json() + "\n")
+        lines.append(f"wrote {report_json}")
+    return "\n".join(lines), 0 if report.passed else 1
+
+
 def _cmd_batch(args: argparse.Namespace):
     from repro.batch import BatchEvaluator, available_backends
 
@@ -836,25 +845,13 @@ def _cmd_batch(args: argparse.Namespace):
 
     if args.batch_command == "parity":
         from repro.batch import run_parity_harness
-        from repro.batch.parity import DEFAULT_PAIRS
 
-        pairs = (
-            _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_PAIRS)
-        )
         report = run_parity_harness(
-            pairs=pairs,
-            targets_per_pair=args.targets,
             fault_sets_per_target=args.fault_sets,
-            seed=args.seed,
             backend=args.backend,
-            x_max=args.x_max,
+            **_parity_grid(args),
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        return _gated_report(report, args.report_json)
 
     raise LineSearchError(f"unknown batch subcommand {args.batch_command!r}")
 
@@ -883,24 +880,9 @@ def _cmd_async(args: argparse.Namespace):
 
     if args.async_command == "parity":
         from repro.async_sched import run_async_parity
-        from repro.async_sched.parity import DEFAULT_PAIRS
 
-        pairs = (
-            _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_PAIRS)
-        )
-        report = run_async_parity(
-            pairs=pairs,
-            targets_per_pair=args.targets,
-            seed=args.seed,
-            x_max=args.x_max,
-            quantum=args.quantum,
-        )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        report = run_async_parity(quantum=args.quantum, **_parity_grid(args))
+        return _gated_report(report, args.report_json)
 
     raise LineSearchError(f"unknown async subcommand {args.async_command!r}")
 
@@ -914,12 +896,7 @@ def _cmd_variants(args: argparse.Namespace):
             target=args.target,
             rtol=args.rtol,
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        return _gated_report(report, args.report_json)
 
     if args.variants_command == "bound":
         from repro.core.evacuation import (
@@ -978,23 +955,10 @@ def _cmd_variants(args: argparse.Namespace):
         return outcome.describe()
 
     if args.variants_command == "parity":
-        from repro.variants.parity import DEFAULT_PAIRS, run_variant_parity
+        from repro.variants import run_variant_parity
 
-        pairs = (
-            _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_PAIRS)
-        )
-        report = run_variant_parity(
-            pairs=pairs,
-            targets_per_pair=args.targets,
-            seed=args.seed,
-            x_max=args.x_max,
-        )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        report = run_variant_parity(**_parity_grid(args))
+        return _gated_report(report, args.report_json)
 
     raise LineSearchError(
         f"unknown variants subcommand {args.variants_command!r}"

@@ -575,10 +575,22 @@ class LineSearchService:
 
     def _execute_job(self, job: Job) -> None:
         submission = job.submission
-        scenarios = [build_scenario(spec) for spec in submission.specs]
         results: Dict[int, ScenarioResult] = {}
         to_run: List[Tuple[int, Any]] = []
-        for index, scenario in enumerate(scenarios):
+        for index, spec in enumerate(submission.specs):
+            try:
+                scenario = build_scenario(spec)
+            except InvalidParameterError as exc:
+                # Only a job recovered from an older manifest gets here
+                # (new submissions are refused at parse time): fail the
+                # spec alone, neither cached nor journaled, and run the rest.
+                results[index] = ScenarioResult(
+                    spec=spec,
+                    ok=False,
+                    error="InvalidParameterError",
+                    error_message=str(exc),
+                )
+                continue
             hit = (
                 self.cache.get(scenario_key(scenario.spec))
                 if self.cache is not None

@@ -48,11 +48,7 @@ from repro.variants.invariants import (
     check_evacuation_outcome,
 )
 from repro.variants.line import LineVariant
-from repro.variants.parity import (
-    VariantParityCase,
-    VariantParityReport,
-    run_variant_parity,
-)
+from repro.variants.parity import run_variant_parity
 
 __all__ = [
     "EvacuationOutcome",
@@ -64,8 +60,6 @@ __all__ = [
     "LineVariant",
     "ProblemVariant",
     "VARIANT_NAMES",
-    "VariantParityCase",
-    "VariantParityReport",
     "audit_evacuation_outcome",
     "check_evacuation_outcome",
     "halfline_expected_estimate",

@@ -2,37 +2,26 @@
 
 The variant subsystem routes ``variant="line"`` scenarios through the
 :class:`~repro.variants.line.LineVariant` singleton and the campaign's
-shared engine dispatch.  This harness pins the claim that the detour is
-invisible: on a seeded grid of (regime, target, fault-kind) points, the
-variant path must reproduce a *direct* continuous-engine invocation —
-fresh fleet, fresh fault model — with **exact** float equality on
-detection times (``==``, not ``times_close``) and the same detecting
-robot.  It mirrors :mod:`repro.async_sched.parity`, which makes the
-same demand of the discrete-event engine.
+shared engine dispatch.  This registration of the shared harness
+(:mod:`repro.parity`) pins the claim that the detour is invisible: on a
+seeded grid of (regime, target, fault-kind) points, the variant path —
+invariant audit on, as every campaign runs it — must reproduce a
+*direct* continuous-engine invocation with **exact** agreement
+(``.hex()``-equal detection times, not ``times_close``) and the same
+detecting robot, the demand :mod:`repro.async_sched.parity` makes of
+the discrete-event engine.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.errors import InvalidParameterError
+from repro.parity import DEFAULT_FAULT_KINDS, ParityReport, Runner, run_parity
 from repro.robots.fleet import Fleet
-from repro.robustness.campaign import (
-    ScenarioSpec,
-    _fault_model_for,
-    build_scenario,
-)
-from repro.simulation.engine import SearchSimulation
+from repro.robustness.campaign import build_scenario
+from repro.variants.base import variant_for
 
-__all__ = [
-    "VariantParityCase",
-    "VariantParityReport",
-    "run_variant_parity",
-]
+__all__ = ["DEFAULT_PAIRS", "run_variant_parity"]
 
 #: Default regimes: the async parity harness's proportional coverage
 #: plus two trivial-regime fleets (``n >= 2f + 2`` routes through
@@ -48,132 +37,16 @@ DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = (
     (6, 2),
 )
 
-#: Fault spec strings exercised per target, spanning the behavior
-#: taxonomy the continuous engine supports.
-DEFAULT_FAULT_KINDS: Tuple[str, ...] = (
-    "none",
-    "adversarial",
-    "fixed",
-    "crash_stop:2.0",
-    "byzantine:0.5;1.5",
-    "probabilistic:0.7",
-)
 
+def _line_candidate(fleet: Fleet, f: int) -> Runner:
+    """``variant="line"`` dispatch, audited, as a parity candidate."""
+    line = variant_for("line")
 
-@dataclass(frozen=True)
-class VariantParityCase:
-    """One compared point; agreement means bit-exact equality."""
+    def run(spec):
+        outcome = line.run(build_scenario(spec), check_invariants=True)
+        return outcome.detection_time, outcome.detecting_robot
 
-    n: int
-    f: int
-    target: float
-    fault: str
-    engine_time: float
-    variant_time: float
-    engine_robot: Optional[int]
-    variant_robot: Optional[int]
-
-    @property
-    def agree(self) -> bool:
-        """Exact detection-time equality (inf matches inf) and the same
-        detecting robot."""
-        times_equal = (
-            self.engine_time == self.variant_time
-            if math.isfinite(self.engine_time)
-            or math.isfinite(self.variant_time)
-            else True
-        )
-        return times_equal and self.engine_robot == self.variant_robot
-
-    def describe(self) -> str:
-        verdict = "ok " if self.agree else "MISMATCH"
-        return (
-            f"{verdict} A({self.n},{self.f}) x={self.target:.6g} "
-            f"fault={self.fault}: engine={self.engine_time!r} "
-            f"variant={self.variant_time!r} robots="
-            f"{self.engine_robot}/{self.variant_robot}"
-        )
-
-
-@dataclass
-class VariantParityReport:
-    """The outcome of one parity run: every case, plus the verdict."""
-
-    seed: int
-    cases: List[VariantParityCase] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.cases)
-
-    @property
-    def regimes(self) -> List[Tuple[int, int]]:
-        return sorted({(c.n, c.f) for c in self.cases})
-
-    def mismatches(self) -> List[VariantParityCase]:
-        return [c for c in self.cases if not c.agree]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches()
-
-    def describe(self, max_mismatches: int = 10) -> str:
-        bad = self.mismatches()
-        lines = [
-            f"variant parity[line]: {self.total - len(bad)}/{self.total} "
-            f"points bit-exact across {len(self.regimes)} regimes "
-            f"(seed={self.seed})"
-        ]
-        for case in bad[:max_mismatches]:
-            lines.append("  " + case.describe())
-        hidden = len(bad) - max_mismatches
-        if hidden > 0:
-            lines.append(f"  ... and {hidden} more mismatches")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        def encode(t: float):
-            return t if math.isfinite(t) else repr(t)
-
-        return {
-            "format": "linesearch-variant-parity-report",
-            "version": 1,
-            "seed": self.seed,
-            "total": self.total,
-            "passed": self.passed,
-            "regimes": [list(r) for r in self.regimes],
-            "mismatches": len(self.mismatches()),
-            "cases": [
-                {
-                    "n": c.n,
-                    "f": c.f,
-                    "target": c.target,
-                    "fault": c.fault,
-                    "engine_time": encode(c.engine_time),
-                    "variant_time": encode(c.variant_time),
-                    "engine_robot": c.engine_robot,
-                    "variant_robot": c.variant_robot,
-                    "agree": c.agree,
-                }
-                for c in self.cases
-            ],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-def _seeded_targets(
-    rng: random.Random, count: int, x_max: float
-) -> List[float]:
-    """``count`` targets, log-uniform in ``[1, x_max]``, random signs."""
-    targets = []
-    log_max = math.log(x_max)
-    for _ in range(count):
-        magnitude = math.exp(rng.uniform(0.0, log_max))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        targets.append(sign * magnitude)
-    return targets
+    return run
 
 
 def run_variant_parity(
@@ -182,7 +55,7 @@ def run_variant_parity(
     fault_kinds: Sequence[str] = DEFAULT_FAULT_KINDS,
     seed: int = 2016,
     x_max: float = 16.0,
-) -> VariantParityReport:
+) -> ParityReport:
     """Replay a seeded grid through both paths; demand bit-exactness.
 
     Args:
@@ -203,42 +76,13 @@ def run_variant_parity(
         >>> report.total
         4
     """
-    if targets_per_pair < 1:
-        raise InvalidParameterError("targets_per_pair must be >= 1")
-    if x_max <= 1.0:
-        raise InvalidParameterError(f"x_max must exceed 1, got {x_max}")
-    from repro.schedule import algorithm_for
-    from repro.variants import variant_for
-
-    line = variant_for("line")
-    rng = random.Random(seed)
-    cases: List[VariantParityCase] = []
-    for n, f in pairs:
-        fleet = Fleet.from_algorithm(algorithm_for(n, f))
-        targets = _seeded_targets(rng, targets_per_pair, x_max)
-        for target in targets:
-            for fault in fault_kinds:
-                spec = ScenarioSpec(
-                    n=n, f=f, target=target, fault=fault, seed=seed
-                )
-                # Fresh fault model per path: stochastic models mutate
-                # generator state on every assign().
-                engine = SearchSimulation(
-                    fleet, target, fault_model=_fault_model_for(spec)[0]
-                ).run(with_events=False)
-                variant = line.run(
-                    build_scenario(spec), check_invariants=False
-                )
-                cases.append(
-                    VariantParityCase(
-                        n=n,
-                        f=f,
-                        target=target,
-                        fault=fault,
-                        engine_time=engine.detection_time,
-                        variant_time=variant.detection_time,
-                        engine_robot=engine.detecting_robot,
-                        variant_robot=variant.detecting_robot,
-                    )
-                )
-    return VariantParityReport(seed=seed, cases=cases)
+    return run_parity(
+        "variants",
+        "variant parity[line]",
+        _line_candidate,
+        lambda rng, n, f: fault_kinds,
+        pairs,
+        targets_per_pair,
+        seed,
+        x_max,
+    )

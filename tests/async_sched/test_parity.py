@@ -3,7 +3,8 @@
 import json
 
 from repro.async_sched import run_async_parity
-from repro.async_sched.parity import DEFAULT_FAULT_KINDS, DEFAULT_PAIRS
+from repro.async_sched.parity import DEFAULT_PAIRS
+from repro.parity import DEFAULT_FAULT_KINDS
 
 
 class TestHarness:
@@ -22,9 +23,9 @@ class TestHarness:
             pairs=[(3, 1)], targets_per_pair=3, seed=2016
         )
         for case in report.cases:
-            if case.continuous_time is not None:
+            if case.reference_time is not None:
                 assert (
-                    case.continuous_time.hex() == case.event_time.hex()
+                    case.reference_time.hex() == case.candidate_time.hex()
                 ), case
 
     def test_default_regimes(self):
@@ -36,7 +37,9 @@ class TestHarness:
             fault_kinds=("none", "adversarial"), seed=4,
         )
         payload = json.loads(report.to_json())
-        assert payload["format"] == "linesearch-async-parity-report"
+        assert payload["format"] == "linesearch-parity-report"
+        assert payload["harness"] == "async"
+        assert payload["label"] == "async parity[fsync, quantum=0.5]"
         assert payload["passed"] is True
         assert payload["total"] == 4
         assert "describe" not in payload  # data, not prose

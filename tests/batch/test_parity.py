@@ -28,9 +28,7 @@ class TestDefaultGrid:
         a = run_parity_harness(seed=7, **small)
         b = run_parity_harness(seed=7, **small)
         assert [c.target for c in a.cases] == [c.target for c in b.cases]
-        assert [c.fault_set for c in a.cases] == [
-            c.fault_set for c in b.cases
-        ]
+        assert [c.fault for c in a.cases] == [c.fault for c in b.cases]
 
     def test_numpy_backend_also_passes(self):
         pytest.importorskip("numpy")
@@ -40,7 +38,7 @@ class TestDefaultGrid:
             fault_sets_per_target=4,
             backend="numpy",
         )
-        assert report.backend == "numpy"
+        assert report.label == "parity[numpy]"
         assert report.passed, report.describe()
 
 
@@ -67,13 +65,20 @@ class TestReport:
     def test_json_round_trip(self, report):
         payload = json.loads(report.to_json())
         assert payload["format"] == "linesearch-parity-report"
+        assert payload["version"] == 2
+        assert payload["harness"] == "batch"
+        assert payload["comparator"] == "times_close"
         assert payload["passed"] is True
         assert payload["total"] == report.total
         assert len(payload["cases"]) == report.total
-        # inf engine/batch times must be JSON-safe strings
+        # inf reference/candidate times must be JSON-safe strings
         for case in payload["cases"]:
-            for key in ("engine_time", "batch_time"):
+            for key in ("reference_time", "candidate_time"):
                 assert isinstance(case[key], (float, str))
+            # batch faults are campaign fault-DSL strings
+            assert case["fault"] in ("adversarial", "none") or case[
+                "fault"
+            ].startswith("fixed:")
 
     def test_case_describe(self, report):
         line = report.cases[0].describe()

@@ -22,7 +22,7 @@ from repro.service import (
     ServiceError,
     parse_submission,
 )
-from repro.robustness.campaign import build_scenario
+from repro.robustness.campaign import build_scenario, scenario_key
 
 
 def _start(tmp_path, **overrides):
@@ -403,6 +403,50 @@ class TestLegacyManifest:
             assert served == expected.to_json()
         finally:
             service.stop()
+
+    def test_now_invalid_spec_fails_alone(self, tmp_path):
+        """A recovered job holding a spec that ``build_scenario`` now
+        refuses (target 0) reports that spec as an isolated failure and
+        runs the rest; a second restart serves the same bytes."""
+        good, bad = ScenarioSpec(3, 1, 2.0), ScenarioSpec(3, 1, 0.0)
+        entry = {
+            "event": "submit",
+            "id": "job-000001",
+            "submitted_at": time.time(),
+            "request": {
+                "specs": [good.to_dict(), bad.to_dict()],
+                "check_invariants": True,
+                "client": "legacy",
+                "deadline": 120.0,
+                "seed": 0,
+            },
+        }
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        (state_dir / "jobs.jsonl").write_text(
+            json.dumps(entry, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        stored = []
+        for _ in range(2):
+            service, client = _start(tmp_path)
+            try:
+                envelope = client.wait("job-000001", timeout=60.0)
+                assert envelope["state"] == "done"
+                path = service.registry.report_path("job-000001")
+                with open(path, "rb") as handle:
+                    stored.append(handle.read())
+                journal = service.registry.journal_path("job-000001")
+                with open(journal, encoding="utf-8") as handle:
+                    assert '"target": 0.0' not in handle.read()
+                assert service.cache.get(scenario_key(bad)) is None
+            finally:
+                service.stop()
+        assert stored[0] == stored[1]
+        ok, failed = json.loads(stored[0])["report"]["results"]
+        assert ok["ok"] is True and ok["spec"]["target"] == 2.0
+        assert failed["ok"] is False
+        assert failed["error"] == "InvalidParameterError"
+        assert "target must be finite and nonzero" in failed["error_message"]
 
 
 class TestIntrospection:

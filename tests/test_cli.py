@@ -824,7 +824,8 @@ class TestVariants:
         assert "bit-exact" in out
         with open(report_path) as handle:
             data = json.load(handle)
-        assert data["format"] == "linesearch-variant-parity-report"
+        assert data["format"] == "linesearch-parity-report"
+        assert data["harness"] == "variants"
         assert data["passed"] is True
 
 

@@ -1,17 +1,12 @@
 """Line-variant dispatch must reproduce the continuous engine bit-exactly."""
 
 import json
-import math
 
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.variants.parity import (
-    DEFAULT_FAULT_KINDS,
-    DEFAULT_PAIRS,
-    VariantParityCase,
-    run_variant_parity,
-)
+from repro.parity import DEFAULT_FAULT_KINDS
+from repro.variants.parity import DEFAULT_PAIRS, run_variant_parity
 
 
 class TestHarness:
@@ -31,8 +26,8 @@ class TestHarness:
         a = run_variant_parity(pairs=[(3, 1)], targets_per_pair=4, seed=99)
         b = run_variant_parity(pairs=[(3, 1)], targets_per_pair=4, seed=99)
         assert [c.target for c in a.cases] == [c.target for c in b.cases]
-        assert [c.engine_time for c in a.cases] == [
-            c.engine_time for c in b.cases
+        assert [c.reference_time for c in a.cases] == [
+            c.reference_time for c in b.cases
         ]
 
     def test_every_default_fault_kind_covered(self):
@@ -52,32 +47,6 @@ class TestHarness:
             run_variant_parity(x_max=1.0)
 
 
-class TestCase:
-    def test_exact_equality_required(self):
-        agree = VariantParityCase(
-            3, 1, 2.0, "none", 5.0, 5.0, 1, 1
-        )
-        assert agree.agree
-        off_by_ulp = VariantParityCase(
-            3, 1, 2.0, "none", 5.0, math.nextafter(5.0, 6.0), 1, 1
-        )
-        assert not off_by_ulp.agree
-        wrong_robot = VariantParityCase(
-            3, 1, 2.0, "none", 5.0, 5.0, 1, 2
-        )
-        assert not wrong_robot.agree
-
-    def test_infinite_outcomes_may_match(self):
-        both_inf = VariantParityCase(
-            3, 1, 2.0, "fixed", math.inf, math.inf, None, None
-        )
-        assert both_inf.agree
-        one_inf = VariantParityCase(
-            3, 1, 2.0, "fixed", math.inf, 5.0, None, 1
-        )
-        assert not one_inf.agree
-
-
 class TestReport:
     def test_serialization_roundtrip(self):
         report = run_variant_parity(
@@ -85,7 +54,9 @@ class TestReport:
             fault_kinds=("none", "fixed"), seed=3,
         )
         data = json.loads(report.to_json())
-        assert data["format"] == "linesearch-variant-parity-report"
+        assert data["format"] == "linesearch-parity-report"
+        assert data["harness"] == "variants"
+        assert data["comparator"] == "exact"
         assert data["passed"] is True
         assert data["total"] == report.total
         assert len(data["cases"]) == report.total
